@@ -42,6 +42,8 @@ __all__ = [
     "trial_seed",
     "scenarios",
     "coupler_endpoints",
+    "SamplerTables",
+    "sampler_tables",
 ]
 
 
@@ -66,6 +68,69 @@ def coupler_endpoints(net) -> list[tuple[int, int]]:
         (group_of(net, ha.sources[0]), group_of(net, ha.targets[0]))
         for ha in model.hyperarcs
     ]
+
+
+@dataclass(frozen=True)
+class SamplerTables:
+    """Per-topology lookup tables behind the built-in samplers.
+
+    Everything a draw needs besides its random stream, derived once
+    per topology from the coupler endpoints and the processor->group
+    map, so a draw is just the ``rng`` call plus a few tuple lookups.
+    Indices follow hyperarc order; every inner tuple is sorted.
+    """
+
+    #: per fiber link (unordered non-loop group pair, in sorted pair
+    #: order): the couplers over either of its orientations
+    link_couplers: tuple[tuple[int, ...], ...]
+    #: per group: its non-loop out-couplers
+    out_couplers: tuple[tuple[int, ...], ...]
+    #: per group: every coupler with an endpoint in it
+    group_couplers: tuple[tuple[int, ...], ...]
+    #: per group: its processors
+    group_processors: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_network(cls, net) -> "SamplerTables":
+        """Tables of any registry-built network (or duck-typed stand-in)."""
+        g = net.num_groups
+        by_link: dict[tuple[int, int], list[int]] = {}
+        out: list[list[int]] = [[] for _ in range(g)]
+        touching: list[list[int]] = [[] for _ in range(g)]
+        for idx, (u, v) in enumerate(coupler_endpoints(net)):
+            if u != v:
+                by_link.setdefault((min(u, v), max(u, v)), []).append(idx)
+                out[u].append(idx)
+                touching[v].append(idx)
+            touching[u].append(idx)
+        members: list[list[int]] = [[] for _ in range(g)]
+        for p in range(net.num_processors):
+            members[group_of(net, p)].append(p)
+        return cls(
+            link_couplers=tuple(tuple(by_link[k]) for k in sorted(by_link)),
+            out_couplers=tuple(map(tuple, out)),
+            group_couplers=tuple(map(tuple, touching)),
+            group_processors=tuple(map(tuple, members)),
+        )
+
+
+def sampler_tables(net) -> SamplerTables:
+    """``net``'s :class:`SamplerTables`, built once and cached on it.
+
+    Built networks are frozen per topology, so the tables ride on the
+    object itself; objects that refuse new attributes (``__slots__``)
+    get freshly built tables on every call -- correct, only slower.
+    The vectorized backend's array proxy serves the tables cached on
+    its topology arrays through the same attribute.
+    """
+    tables = getattr(net, "_sampler_tables", None)
+    if tables is None:
+        tables = SamplerTables.from_network(net)
+        try:
+            object.__setattr__(net, "_sampler_tables", tables)
+        except (AttributeError, TypeError):
+            pass
+    return tables
 
 
 @dataclass(frozen=True)
@@ -238,20 +303,14 @@ class UniformLinkFaults(FaultModel):
     key: ClassVar[str] = "link"
 
     def sample_faults(self, net, rng: random.Random):
-        ends = coupler_endpoints(net)
-        links = sorted({(min(u, v), max(u, v)) for u, v in ends if u != v})
-        picked = set(rng.sample(links, min(self.faults, max(len(links) - 1, 0))))
-        chosen = {
-            idx
-            for idx, (u, v) in enumerate(ends)
-            if u != v and (min(u, v), max(u, v)) in picked
-        }
-        return chosen, set()
+        # sampling the per-link coupler tuples draws the same indices
+        # as sampling the sorted link list itself
+        links = sampler_tables(net).link_couplers
+        picked = rng.sample(links, min(self.faults, max(len(links) - 1, 0)))
+        return {idx for couplers in picked for idx in couplers}, set()
 
     def max_faults(self, net) -> int:
-        ends = coupler_endpoints(net)
-        links = {(min(u, v), max(u, v)) for u, v in ends if u != v}
-        return max(len(links) - 1, 0)
+        return max(len(sampler_tables(net).link_couplers) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -269,11 +328,8 @@ class AdversarialFirstHopFaults(FaultModel):
     key: ClassVar[str] = "adversarial"
 
     def sample_faults(self, net, rng: random.Random):
-        ends = coupler_endpoints(net)
         victim = rng.randrange(net.num_groups)
-        outgoing = sorted(
-            idx for idx, (u, v) in enumerate(ends) if u == victim and u != v
-        )
+        outgoing = sampler_tables(net).out_couplers[victim]
         if not outgoing:  # single-group machine: fall back to any coupler
             m = net.num_couplers
             return (
@@ -283,11 +339,7 @@ class AdversarialFirstHopFaults(FaultModel):
         return set(outgoing[: self.faults]), set()
 
     def max_faults(self, net) -> int:
-        ends = coupler_endpoints(net)
-        per_group = [0] * net.num_groups
-        for u, v in ends:
-            if u != v:
-                per_group[u] += 1
+        per_group = [len(c) for c in sampler_tables(net).out_couplers]
         # the weakest possible victim bounds what every seed can absorb;
         # a victim with no non-loop out-couplers takes the any-coupler
         # fallback, whose own cap is num_couplers - 1
@@ -308,19 +360,11 @@ class GroupBlockOutage(FaultModel):
 
     def sample_faults(self, net, rng: random.Random):
         g = net.num_groups
-        dead_groups = set(
-            rng.sample(range(g), min(self.faults, max(g - 1, 0)))
-        )
-        ends = coupler_endpoints(net)
-        couplers = {
-            idx
-            for idx, (u, v) in enumerate(ends)
-            if u in dead_groups or v in dead_groups
-        }
+        dead_groups = rng.sample(range(g), min(self.faults, max(g - 1, 0)))
+        tables = sampler_tables(net)
+        couplers = {c for gid in dead_groups for c in tables.group_couplers[gid]}
         processors = {
-            p
-            for p in range(net.num_processors)
-            if group_of(net, p) in dead_groups
+            p for gid in dead_groups for p in tables.group_processors[gid]
         }
         return couplers, processors
 

@@ -37,10 +37,13 @@ Three executors share that contract:
   byte-identical to the batched ``fault_route`` scan for every family
   whose hook is the generic BFS fallback, and families with structured
   hooks are downgraded to ``batched`` with a recorded reason (see
-  :func:`_prepare_sweep`) rather than ever silently diverging.  With
-  ``workers`` the topology arrays live in
-  :mod:`multiprocessing.shared_memory`, attached (not copied) by every
-  worker.  This is the 10^5-10^6-trial path;
+  :func:`_prepare_sweep`) rather than ever silently diverging.  The
+  one-shot pools share the topology arrays with their workers through
+  :mod:`multiprocessing.shared_memory` (attached, not copied);
+  :class:`PersistentSweepExecutor` workers rebuild them once per
+  cached context.  The boolean matmuls run as exact ``float32`` BLAS
+  products (see :func:`_count_matmul`).  This is the
+  10^5-10^6-trial path;
 * the **legacy** backend is the original one-task-per-trial executor
   that re-parses and rebuilds the network inside every trial.  It is
   kept as the regression reference: for the same seed the batched
@@ -68,8 +71,10 @@ import multiprocessing
 import os
 import random
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -83,7 +88,7 @@ from .adaptive import (
     run_adaptive,
 )
 from .degrade import DegradedNetwork
-from .faults import FaultModel, make_fault_model, trial_seed
+from .faults import FaultModel, SamplerTables, make_fault_model, trial_seed
 from .metrics import connectivity_metrics, measure, path_survival
 
 __all__ = [
@@ -137,6 +142,11 @@ SWEEP_BACKENDS = ("batched", "vectorized", "legacy")
 #: :data:`_VECTOR_CELL_BUDGET`) so the (batch, groups, groups) working
 #: set stays bounded.  Batch size never changes results.
 _VECTOR_BATCH = 4096
+
+#: Largest inner dimension :func:`_count_matmul` accepts: float32
+#: represents every integer up to ``2**24`` exactly, and a 0/1 product
+#: count never exceeds the inner dimension.
+_F32_EXACT_INNER = 1 << 24
 
 #: Cap on cells per vectorized batch (~32 MB of int64), applied to the
 #: widest per-trial axis -- ``groups^2`` (reachability tensors),
@@ -400,8 +410,11 @@ class _TopologyArrays:
     This is everything the vectorized backend needs per trial --
     coupler endpoint group pairs, the processor->group map and the
     CSR coupler->source/target-processor incidence -- exported once
-    per sweep and shared (not copied) across workers via
-    :mod:`multiprocessing.shared_memory`.
+    per topology.  The one-shot pools (:func:`survivability_sweep`
+    and :func:`pooled_survivability_sweeps` without an executor) share
+    it with their workers via :mod:`multiprocessing.shared_memory`
+    (attached, not copied); :class:`PersistentSweepExecutor` workers
+    rebuild it from the plan's spec, once per cached context.
     """
 
     num_processors: int
@@ -453,6 +466,11 @@ class _TopologyArrays:
             tgt_indices=tgt_indices,
         )
 
+    @cached_property
+    def sampler_tables(self) -> SamplerTables:
+        """The fault samplers' lookup tables, built once per topology."""
+        return SamplerTables.from_network(_ArrayNetworkProxy(self))
+
 
 class _ArrayNetworkProxy:
     """Duck-typed stand-in for a built network, backed by arrays.
@@ -462,9 +480,10 @@ class _ArrayNetworkProxy:
     (``num_couplers`` / ``num_processors`` / ``num_groups``,
     ``label_of`` for the group of a processor, and ``base_graph()``
     with ``arc_array()`` for
-    :func:`~repro.resilience.faults.coupler_endpoints`) so workers can
-    draw byte-identical fault sets without ever rebuilding the
-    network.
+    :func:`~repro.resilience.faults.coupler_endpoints`, plus the
+    :func:`~repro.resilience.faults.sampler_tables` cached on the
+    topology arrays) so workers can draw byte-identical fault sets
+    without ever rebuilding the network.
     """
 
     __slots__ = ("_arrays",)
@@ -493,6 +512,10 @@ class _ArrayNetworkProxy:
 
     def arc_array(self) -> np.ndarray:
         return self._arrays.endpoints
+
+    @property
+    def _sampler_tables(self) -> SamplerTables:
+        return self._arrays.sampler_tables
 
 
 def _proxy_surface_error(exc: Exception, proxy: _ArrayNetworkProxy) -> bool:
@@ -525,6 +548,25 @@ def _proxy_surface_error(exc: Exception, proxy: _ArrayNetworkProxy) -> bool:
     )
 
 
+def _count_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of 0/1 arrays as exact ``float32`` counts, via BLAS.
+
+    Integer matmuls never reach BLAS; float32 ones do.  Every partial
+    sum is a non-negative integer no larger than the inner dimension,
+    so below :data:`_F32_EXACT_INNER` each count -- and every ``> 0``
+    test on it -- is exactly what an integer product gives.
+    """
+    inner = a.shape[-1]
+    if inner > _F32_EXACT_INNER:
+        raise ValueError(
+            f"inner dimension {inner} exceeds {_F32_EXACT_INNER}, where "
+            f"float32 counts stop being exact"
+        )
+    return np.matmul(
+        a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
+    )
+
+
 class _VectorContext:
     """Per-process vectorized trial scorer over shared topology arrays.
 
@@ -551,13 +593,13 @@ class _VectorContext:
         self._pair_id = arrays.endpoints[:, 0] * g + arrays.endpoints[:, 1]
         #: (n, g) one-hot processor->group incidence for dead counts
         self._group_onehot = np.zeros(
-            (arrays.num_processors, g), dtype=np.int64
+            (arrays.num_processors, g), dtype=np.float32
         )
         if arrays.num_processors:
             self._group_onehot[
                 np.arange(arrays.num_processors), arrays.proc_group
             ] = 1
-        self._group_sizes = self._group_onehot.sum(axis=0)
+        self._group_sizes = np.bincount(arrays.proc_group, minlength=g)
         #: (g, g) intact group distances, the stretch denominators
         #: (``paths`` mode only; computed once per sweep context)
         self._intact_dist = (
@@ -576,7 +618,7 @@ class _VectorContext:
         """
         g = self.arrays.num_groups
         endpoints = self.arrays.endpoints
-        adj = np.zeros((g, g), dtype=np.int16)
+        adj = np.zeros((g, g), dtype=np.float32)
         if len(endpoints):
             off_diag = endpoints[:, 0] != endpoints[:, 1]
             adj[endpoints[off_diag, 0], endpoints[off_diag, 1]] = 1
@@ -585,7 +627,7 @@ class _VectorContext:
         reach = np.eye(g, dtype=bool)
         hops = 0
         while True:
-            grown = (np.matmul(reach.astype(np.int16), adj) > 0) | reach
+            grown = (_count_matmul(reach, adj) > 0) | reach
             frontier = grown & ~reach
             if not frontier.any():
                 break
@@ -606,8 +648,35 @@ class _VectorContext:
         )
         batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
         rows: list[dict[str, object]] = []
+        if arrays.num_processors <= 1:
+            # the connectivity_metrics() degenerate short-circuit
+            degenerate: dict[str, object] = {
+                "connectivity": 1.0,
+                "alive_connectivity": 1.0,
+                "reachable_groups": 1.0,
+            }
+            if self.plan.metrics == "paths":
+                # path_survival's < 2 live groups answer
+                degenerate.update(
+                    max_path_length=0, mean_stretch=1.0, within_bound=1.0
+                )
+            return [dict(degenerate) for _ in range(start, stop)]
+        sample_s = kernel_s = 0.0
         for lo in range(start, stop, batch):
-            rows.extend(self._run_batch(lo, min(lo + batch, stop)))
+            began = time.perf_counter()
+            dead_proc, direct = self._sample_masks(lo, min(lo + batch, stop))
+            sampled = time.perf_counter()
+            rows.extend(self._score_batch(dead_proc, direct))
+            sample_s += sampled - began
+            kernel_s += time.perf_counter() - sampled
+        registry = worker_registry()
+        labels = {"backend": self.plan.backend, "metrics": self.plan.metrics}
+        registry.histogram(
+            "repro_sweep_sample_seconds", _SAMPLE_HELP, labels
+        ).observe(sample_s)
+        registry.histogram(
+            "repro_sweep_kernel_seconds", _KERNEL_HELP, labels
+        ).observe(kernel_s)
         return rows
 
     def _sample_masks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -615,15 +684,20 @@ class _VectorContext:
 
         One row per trial; each row replays the exact draw the batched
         backend's ``model.scenario(...)`` would make for that trial
-        index (same sampler, same ``trial_seed`` stream).
+        index (same sampler, same ``trial_seed`` stream).  One
+        generator is re-seeded per trial: ``Random.seed(x)`` leaves
+        exactly the state ``Random(x)`` starts from.
         """
         plan, arrays = self.plan, self.arrays
         n, m = arrays.num_processors, arrays.num_couplers
-        dead_proc = np.zeros((hi - lo, n), dtype=bool)
-        direct = np.zeros((hi - lo, m), dtype=bool)
         sample_at = getattr(plan.model, "sample_faults_at", None)
+        rng = random.Random()
+        coupler_rows: list[int] = []
+        coupler_cols: list[int] = []
+        proc_rows: list[int] = []
+        proc_cols: list[int] = []
         for j in range(hi - lo):
-            rng = random.Random(trial_seed(plan.seed, lo + j))
+            rng.seed(trial_seed(plan.seed, lo + j))
             try:
                 if sample_at is not None:
                     couplers, processors = sample_at(self._proxy, rng, lo + j)
@@ -647,39 +721,39 @@ class _VectorContext:
                     f"backend='batched'"
                 ) from exc
             hit = [c for c in couplers if 0 <= c < m]
-            if hit:
-                direct[j, hit] = True
+            coupler_cols += hit
+            coupler_rows += [j] * len(hit)
             hit = [p for p in processors if 0 <= p < n]
-            if hit:
-                dead_proc[j, hit] = True
+            proc_cols += hit
+            proc_rows += [j] * len(hit)
+        dead_proc = np.zeros((hi - lo, n), dtype=bool)
+        direct = np.zeros((hi - lo, m), dtype=bool)
+        direct[coupler_rows, coupler_cols] = True
+        dead_proc[proc_rows, proc_cols] = True
         return dead_proc, direct
 
-    def _run_batch(self, lo: int, hi: int) -> list[dict[str, object]]:
+    def _score_batch(
+        self, dead_proc: np.ndarray, direct: np.ndarray
+    ) -> list[dict[str, object]]:
+        """Metric rows of one batch of ``(dead_processors, hit_couplers)``."""
         arrays = self.arrays
         n, g, m = arrays.num_processors, arrays.num_groups, arrays.num_couplers
-        batch = hi - lo
+        batch = len(dead_proc)
         paths_mode = self.plan.metrics == "paths"
-        if n <= 1:  # the connectivity_metrics() degenerate short-circuit
-            degenerate: dict[str, object] = {
-                "connectivity": 1.0,
-                "alive_connectivity": 1.0,
-                "reachable_groups": 1.0,
-            }
-            if paths_mode:  # path_survival's < 2 live groups answer
-                degenerate.update(
-                    max_path_length=0, mean_stretch=1.0, within_bound=1.0
-                )
-            return [dict(degenerate) for _ in range(batch)]
-        dead_proc, direct = self._sample_masks(lo, hi)
-        dead_i = dead_proc.astype(np.int64)
         # effective dead couplers (the DegradedNetwork closure): hit
         # directly, or every source processor died, or every target died
         if m:
             src_dead = np.add.reduceat(
-                dead_i[:, arrays.src_indices], arrays.src_indptr[:-1], axis=1
+                dead_proc[:, arrays.src_indices],
+                arrays.src_indptr[:-1],
+                axis=1,
+                dtype=np.int64,
             )
             tgt_dead = np.add.reduceat(
-                dead_i[:, arrays.tgt_indices], arrays.tgt_indptr[:-1], axis=1
+                dead_proc[:, arrays.tgt_indices],
+                arrays.tgt_indptr[:-1],
+                axis=1,
+                dtype=np.int64,
             )
             dead_coupler = (
                 direct
@@ -690,10 +764,9 @@ class _VectorContext:
             dead_coupler = direct
         # surviving group adjacency, one scatter for the whole batch
         ti, ci = np.nonzero(~dead_coupler)
-        counts = np.bincount(
-            ti * (g * g) + self._pair_id[ci], minlength=batch * g * g
-        )
-        adj = counts.reshape(batch, g, g) > 0
+        adj = np.zeros(batch * g * g, dtype=bool)
+        adj[ti * (g * g) + self._pair_id[ci]] = True
+        adj = adj.reshape(batch, g, g)
         diag = np.arange(g)
         dist = None
         hops = 0
@@ -706,11 +779,14 @@ class _VectorContext:
             # hook reports; the final `reach` is the same closure the
             # squaring loop below produces.
             reach = np.broadcast_to(np.eye(g, dtype=bool), adj.shape).copy()
-            dist = np.full((batch, g, g), -1, dtype=np.int64)
+            # int32 halves the largest paths-mode temporaries; every
+            # distance is below g, and int32 / int64 divides exactly
+            # like int64 / int64 in the stretch ratios
+            dist = np.full((batch, g, g), -1, dtype=np.int32)
             dist[:, diag, diag] = 0
-            adj_i = adj.astype(np.int16)
+            adj_f = adj.astype(np.float32)
             while True:
-                grown = (np.matmul(reach.astype(np.int16), adj_i) > 0) | reach
+                grown = (_count_matmul(reach, adj_f) > 0) | reach
                 frontier = grown & ~reach
                 if not frontier.any():
                     break
@@ -725,17 +801,18 @@ class _VectorContext:
             reach = adj.copy()
             reach[:, diag, diag] = True
             while True:
-                grown = (
-                    np.matmul(reach.astype(np.int16), reach.astype(np.int16))
-                    > 0
-                )
+                reach_f = reach.astype(np.float32)
+                grown = _count_matmul(reach_f, reach_f) > 0
                 if np.array_equal(grown, reach):
                     break
                 reach = grown
         # a same-group pair needs a surviving closed walk at its group:
         # some surviving out-arc (u, v) that is a loop or can get back
         sibling_ok = np.any(adj & np.swapaxes(reach, 1, 2), axis=2)
-        alive_per_group = self._group_sizes[None, :] - dead_i @ self._group_onehot
+        dead_per_group = _count_matmul(dead_proc, self._group_onehot)
+        alive_per_group = self._group_sizes[None, :] - dead_per_group.astype(
+            np.int64
+        )
         reach_off = reach.copy()
         reach_off[:, diag, diag] = False
         cross = np.einsum(
@@ -814,11 +891,11 @@ class _VectorContext:
         # have no defined stretch and stay out of the mean (they still
         # count in reachable/within, mirroring path_survival)
         stretch_mask = routed_mask & (self._intact_dist > 0)[None, :, :]
-        ratios = np.where(
-            stretch_mask,
-            dist / np.maximum(self._intact_dist, 1)[None, :, :],
-            0.0,
-        )
+        # every trial's ratios in one trial-major array: trial j's
+        # terms are ratios[ends[j - 1]:ends[j]]
+        intact = np.broadcast_to(self._intact_dist, dist.shape)
+        ratios = dist[stretch_mask] / intact[stretch_mask]
+        ends = np.cumsum(stretch_mask.sum(axis=(1, 2))).tolist()
         registry = worker_registry()
         labels = {"backend": self.plan.backend}
         registry.counter(
@@ -849,12 +926,12 @@ class _VectorContext:
                     within_bound=0.0,
                 )
             else:
-                terms = ratios[j][stretch_mask[j]]
+                terms = ratios[ends[j - 1] if j else 0 : ends[j]].tolist()
                 row.update(
                     reachable_groups=int(routed_counts[j]) / int(live_pairs[j]),
                     max_path_length=int(max_len[j]),
                     mean_stretch=(
-                        math.fsum(terms) / terms.size if terms.size else 1.0
+                        math.fsum(terms) / len(terms) if terms else 1.0
                     ),
                     within_bound=int(within_counts[j]) / int(routed_counts[j]),
                 )
@@ -950,6 +1027,8 @@ _RUN_HELP = "Wall time of one sweep trial chunk"
 _WAIT_HELP = "Queue wait between chunk dispatch and worker pickup"
 _PATHS_TRIALS_HELP = "Trials scored by the vectorized all-pairs paths kernel"
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
+_SAMPLE_HELP = "Fault-mask sampling time of one vectorized trial chunk"
+_KERNEL_HELP = "Numpy scoring time of one vectorized trial chunk"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
 
 

@@ -40,6 +40,7 @@ class TestVectorizedMatchesBatched:
             ("link", 1),
             ("adversarial", 1),
             ("group", 1),
+            ("bernoulli", 1),
         ],
     )
     def test_every_family_and_model_byte_identical(self, spec, model, faults):
