@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import atexit
 import threading
+import time
+from contextlib import contextmanager
 
 from .cache import SpecCache
 from .registry import get_family
@@ -392,7 +394,8 @@ class Session:
             else:
                 rows = executor.run(prepared, arrays=arrays)
         with span("sweep.summarize", spec=entry.canonical, trials=trials):
-            return _summarize(prepared, rows)
+            with _summarize_timer("sweep"):
+                return _summarize(prepared, rows)
 
     def temporal_sweep(
         self,
@@ -426,7 +429,6 @@ class Session:
         from ..obs.trace import span
         from ..temporal.replay import (
             DEFAULT_HORIZON,
-            execute_temporal,
             prepare_temporal_sweep,
             summarize_temporal,
         )
@@ -455,9 +457,10 @@ class Session:
             )
         effective = self._effective_workers(workers)
         worker_count = effective if isinstance(effective, int) else 1
+        executor = self._executor_for(effective)
         with span("temporal.execute", spec=entry.canonical, trials=trials,
                   workers=worker_count):
-            rows = execute_temporal(prepared, workers=worker_count)
+            rows = self._temporal_rows(prepared, entry, executor)
         REGISTRY.counter(
             "repro_temporal_trials_total",
             "Temporal replay trials executed.",
@@ -470,7 +473,20 @@ class Session:
                 {"process": prepared.plan.process.key},
             ).inc()
         with span("temporal.summarize", spec=entry.canonical, trials=trials):
-            return summarize_temporal(prepared, rows)
+            with _summarize_timer("temporal"):
+                return summarize_temporal(prepared, rows)
+
+    @staticmethod
+    def _temporal_rows(prepared, entry, executor) -> list[dict]:
+        """A prepared temporal sweep's rows, run on ``executor``.
+
+        Inline runs hand the trial context the cached topology arrays,
+        so a temporal request exports no arrays of its own.
+        """
+        if prepared.skipped:
+            return []
+        arrays = None if executor.parallel else entry.arrays()
+        return executor.run_range(prepared, 0, prepared.trials, arrays=arrays)
 
     def pooled_survivability_sweeps(self, requests, *, workers=_UNSET):
         """Many sweeps on one persistent pool (request-order summaries).
@@ -564,7 +580,6 @@ class Session:
         from ..temporal.processes import FaultProcess
         from ..temporal.replay import (
             DEFAULT_HORIZON,
-            execute_temporal,
             prepare_temporal_sweep,
             summarize_temporal,
         )
@@ -574,17 +589,17 @@ class Session:
         effective = self._effective_workers(workers)
         executor = self._executor_for(effective)
         # a grid axis may mix frozen fault models and fault *processes*:
-        # process cells replay through the temporal engine while the
-        # frozen cells share the persistent pool, and the results are
-        # reassembled in compile() order
+        # process cells replay through the temporal engine, every cell
+        # runs on the session's persistent executor, and the results
+        # are reassembled in compile() order
         prepared_list = []
         arrays_list = []
-        temporal_prepared: dict[int, object] = {}
+        temporal_prepared: dict[int, tuple] = {}
         with span("experiment.prepare", cells=len(cells_meta)):
             for index, request in enumerate(cells_meta):
                 entry = self._cache.entry(request["spec"])
                 if isinstance(request["model"], FaultProcess):
-                    temporal_prepared[index] = prepare_temporal_sweep(
+                    temporal_prepared[index] = entry, prepare_temporal_sweep(
                         entry.spec,
                         request["model"],
                         horizon=DEFAULT_HORIZON,
@@ -630,7 +645,6 @@ class Session:
                     and not executor.parallel
                     else None
                 )
-        worker_count = effective if isinstance(effective, int) else 1
         with span("experiment.execute", cells=len(cells_meta)):
             if any(p.ci_target is not None for p in prepared_list):
                 # adaptive cells need per-wave stop decisions, so a
@@ -647,15 +661,18 @@ class Session:
                     prepared_list, arrays_list=arrays_list
                 )
             temporal_rows = {
-                index: execute_temporal(tprep, workers=worker_count)
-                for index, tprep in temporal_prepared.items()
+                index: self._temporal_rows(tprep, entry, executor)
+                for index, (entry, tprep) in temporal_prepared.items()
             }
-        with span("experiment.summarize", cells=len(cells_meta)):
+        with (
+            span("experiment.summarize", cells=len(cells_meta)),
+            _summarize_timer("experiment"),
+        ):
             sweep_results = iter(zip(prepared_list, rows_lists))
             cells = []
             for index, request in enumerate(cells_meta):
                 if index in temporal_prepared:
-                    tprep = temporal_prepared[index]
+                    _entry, tprep = temporal_prepared[index]
                     cells.append(
                         ExperimentCell(
                             spec=tprep.plan.canonical,
@@ -683,6 +700,22 @@ class Session:
                     )
                 )
         return ExperimentResult(experiment=experiment, cells=tuple(cells))
+
+
+@contextmanager
+def _summarize_timer(verb: str):
+    """Observe one summarize step into ``repro_sweep_summarize_seconds``."""
+    from ..obs.metrics import REGISTRY
+
+    began = time.perf_counter()
+    try:
+        yield
+    finally:
+        REGISTRY.histogram(
+            "repro_sweep_summarize_seconds",
+            "Wall time of aggregating trial rows into a summary",
+            {"verb": verb},
+        ).observe(time.perf_counter() - began)
 
 
 # ----------------------------------------------------------------------

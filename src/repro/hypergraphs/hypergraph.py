@@ -15,14 +15,14 @@ degree-``s`` OPS coupler is exactly a hyperarc with ``|sources| =
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..graphs.digraph import DiGraph
 
-__all__ = ["Hyperarc", "DirectedHypergraph"]
+__all__ = ["Hyperarc", "DirectedHypergraph", "cached_on"]
 
 
 @dataclass(frozen=True)
@@ -198,3 +198,22 @@ class DirectedHypergraph:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<DirectedHypergraph{tag} n={self._n} h={self.num_hyperarcs}>"
+
+
+def cached_on(owner, attr: str, build: Callable[[], object]):
+    """``build()``, computed once and cached on ``owner`` as ``attr``.
+
+    For per-topology derived data of frozen built networks -- their
+    hypergraph model (immutable, so every degraded view and simulator
+    of one network shares it) and lookup tables.  Owners that refuse
+    new attributes (``__slots__``) get a fresh build on every call --
+    correct, only slower.
+    """
+    value = getattr(owner, attr, None)
+    if value is None:
+        value = build()
+        try:
+            object.__setattr__(owner, attr, value)
+        except (AttributeError, TypeError):
+            pass
+    return value

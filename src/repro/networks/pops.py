@@ -20,6 +20,7 @@ import numpy as np
 
 from ..graphs.complete import complete_digraph_with_loops
 from ..graphs.digraph import DiGraph
+from ..hypergraphs.hypergraph import cached_on
 from ..hypergraphs.stack_graph import StackGraph
 from ..optical.ops import OPSCoupler
 
@@ -148,8 +149,12 @@ class POPSNetwork:
         return complete_digraph_with_loops(self.num_groups)
 
     def stack_graph_model(self) -> StackGraph:
-        """``sigma(t, K+_g)`` (paper Fig. 5)."""
-        return StackGraph(self.group_size, self.base_graph())
+        """``sigma(t, K+_g)`` (paper Fig. 5; built once, shared)."""
+        return cached_on(
+            self,
+            "_hypergraph_model",
+            lambda: StackGraph(self.group_size, self.base_graph()),
+        )
 
     def hypergraph_model(self) -> StackGraph:
         """Protocol alias for :meth:`stack_graph_model`."""

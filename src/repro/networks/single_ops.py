@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..graphs.digraph import DiGraph
-from ..hypergraphs.hypergraph import DirectedHypergraph, Hyperarc
+from ..hypergraphs.hypergraph import DirectedHypergraph, Hyperarc, cached_on
 from ..optical.components import splitting_loss_db
 from ..optical.ops import OPSCoupler
 
@@ -114,12 +114,16 @@ class SingleOPSNetwork:
         return splitting_loss_db(self.num_processors)
 
     def hypergraph(self) -> DirectedHypergraph:
-        """One hyperarc covering everyone."""
+        """One hyperarc covering everyone (built once, shared)."""
         everyone = tuple(range(self.num_processors))
-        return DirectedHypergraph(
-            self.num_processors,
-            [Hyperarc(everyone, everyone, label="star")],
-            name=f"SingleOPS({self.num_processors})",
+        return cached_on(
+            self,
+            "_hypergraph_model",
+            lambda: DirectedHypergraph(
+                self.num_processors,
+                [Hyperarc(everyone, everyone, label="star")],
+                name=f"SingleOPS({self.num_processors})",
+            ),
         )
 
     def hypergraph_model(self) -> DirectedHypergraph:

@@ -23,6 +23,7 @@ from ..graphs.imase_itoh import (
     imase_itoh_graph,
     imase_itoh_successors,
 )
+from ..hypergraphs.hypergraph import cached_on
 from ..hypergraphs.stack_graph import StackGraph
 from ..optical.ops import OPSCoupler
 
@@ -149,8 +150,12 @@ class StackImaseItohNetwork:
         return g
 
     def stack_graph_model(self) -> StackGraph:
-        """``sigma(s, II+(d, n))``."""
-        return StackGraph(self.stacking_factor, self.base_graph())
+        """``sigma(s, II+(d, n))`` (built once, shared)."""
+        return cached_on(
+            self,
+            "_hypergraph_model",
+            lambda: StackGraph(self.stacking_factor, self.base_graph()),
+        )
 
     def hypergraph_model(self) -> StackGraph:
         """Protocol alias for :meth:`stack_graph_model`."""

@@ -31,6 +31,7 @@ from ..graphs.imase_itoh import (
     kautz_word_to_imase_itoh_index,
 )
 from ..graphs.kautz import kautz_num_nodes
+from ..hypergraphs.hypergraph import cached_on
 from ..hypergraphs.stack_graph import StackGraph
 from ..optical.ops import OPSCoupler
 
@@ -152,8 +153,12 @@ class StackKautzNetwork:
         return out
 
     def stack_graph_model(self) -> StackGraph:
-        """``sigma(s, KG+(d, k))`` -- Definition 4."""
-        return StackGraph(self.stacking_factor, self.base_graph())
+        """``sigma(s, KG+(d, k))`` -- Definition 4 (built once, shared)."""
+        return cached_on(
+            self,
+            "_hypergraph_model",
+            lambda: StackGraph(self.stacking_factor, self.base_graph()),
+        )
 
     def hypergraph_model(self) -> StackGraph:
         """Protocol alias for :meth:`stack_graph_model`."""

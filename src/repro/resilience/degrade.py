@@ -26,7 +26,7 @@ from ..graphs.digraph import DiGraph
 from ..hypergraphs.hypergraph import DirectedHypergraph
 from ..routing.tables import RoutingTable, build_routing_table
 from ..simulation.engine import Message, SlottedSimulator
-from .faults import FaultScenario, coupler_endpoints
+from .faults import FaultScenario, coupler_endpoints, processor_groups
 
 __all__ = ["DegradedNetwork", "degrade_network"]
 
@@ -57,15 +57,18 @@ class DegradedNetwork:
             p for p in scenario.processors if 0 <= p < n
         )
         dead = {c for c in scenario.couplers if 0 <= c < m}
-        for idx, ha in enumerate(self._model.hyperarcs):
-            if idx in dead:
-                continue
-            if all(s in self.dead_processors for s in ha.sources) or all(
-                t in self.dead_processors for t in ha.targets
-            ):
-                dead.add(idx)
+        if self.dead_processors:
+            # a coupler also dies with all its sources or all its targets
+            for idx, ha in enumerate(self._model.hyperarcs):
+                if idx in dead:
+                    continue
+                if all(s in self.dead_processors for s in ha.sources) or all(
+                    t in self.dead_processors for t in ha.targets
+                ):
+                    dead.add(idx)
         self.dead_couplers = frozenset(dead)
         self._endpoints = coupler_endpoints(net)
+        self._groups = processor_groups(net)
         # caches, built on demand
         self._base: DiGraph | None = None
         self._table: RoutingTable | None = None
@@ -99,9 +102,7 @@ class DegradedNetwork:
     def dead_groups(self) -> frozenset[int]:
         """Groups whose processors all died (whole block dark)."""
         if self._dead_groups is None:
-            from .faults import group_of
-
-            alive = {group_of(self.net, p) for p in self.alive_processors}
+            alive = {self._groups[p] for p in self.alive_processors}
             self._dead_groups = frozenset(
                 g for g in range(self.net.num_groups) if g not in alive
             )
@@ -170,7 +171,10 @@ class DegradedNetwork:
         return self._table, self._arc_coupler
 
     def _group_of(self, processor: int) -> int:
-        return int(self.net.label_of(processor)[0])
+        groups = self._groups
+        if 0 <= processor < len(groups):
+            return groups[processor]
+        return int(self.net.label_of(processor)[0])  # the network's range error
 
     def _sibling_first_hop(self, group: int) -> int:
         """First group of the shortest surviving closed walk at ``group``.

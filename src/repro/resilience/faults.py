@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from ..hypergraphs.hypergraph import cached_on
+
 __all__ = [
     "FaultScenario",
     "FaultModel",
@@ -44,6 +46,7 @@ __all__ = [
     "coupler_endpoints",
     "SamplerTables",
     "sampler_tables",
+    "processor_groups",
 ]
 
 
@@ -118,19 +121,27 @@ def sampler_tables(net) -> SamplerTables:
     """``net``'s :class:`SamplerTables`, built once and cached on it.
 
     Built networks are frozen per topology, so the tables ride on the
-    object itself; objects that refuse new attributes (``__slots__``)
-    get freshly built tables on every call -- correct, only slower.
+    object itself (see :func:`~repro.hypergraphs.hypergraph.cached_on`).
     The vectorized backend's array proxy serves the tables cached on
     its topology arrays through the same attribute.
     """
-    tables = getattr(net, "_sampler_tables", None)
-    if tables is None:
-        tables = SamplerTables.from_network(net)
-        try:
-            object.__setattr__(net, "_sampler_tables", tables)
-        except (AttributeError, TypeError):
-            pass
-    return tables
+    return cached_on(
+        net, "_sampler_tables", lambda: SamplerTables.from_network(net)
+    )
+
+
+def processor_groups(net) -> tuple[int, ...]:
+    """The group of every processor, in id order, cached on ``net``.
+
+    ``processor_groups(net)[p] == group_of(net, p)`` without a
+    validated ``label_of`` call per lookup -- the table the degraded
+    views' per-hop routing reads.
+    """
+    return cached_on(
+        net,
+        "_processor_groups",
+        lambda: tuple(group_of(net, p) for p in range(net.num_processors)),
+    )
 
 
 @dataclass(frozen=True)

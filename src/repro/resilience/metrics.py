@@ -263,6 +263,7 @@ def measure(
     bound: int | None = None,
     max_slots: int = 100_000,
     baseline_mean_latency: float | None = None,
+    traffic=None,
     **workload_options,
 ) -> ResilienceMetrics:
     """All survivability metrics of one degraded network, one row.
@@ -274,6 +275,9 @@ def measure(
     is zero).  ``baseline_mean_latency`` short-circuits the intact run
     -- the sweep computes it once and shares it across trials, since
     the baseline depends only on ``(workload, messages, seed)``.
+    ``traffic`` likewise short-circuits the workload generation with
+    the triples ``workload`` resolves to (the sweep resolves them once
+    per trial context; they are read, never mutated).
     """
     from ..core.workloads import resolve_workload
     from ..simulation.network_sim import run_traffic
@@ -287,9 +291,10 @@ def measure(
     connectivity = conn_row["connectivity"]
     alive_connectivity = conn_row["alive_connectivity"]
     reachable, max_len, stretch, within = path_survival(degraded, bound)
-    traffic = resolve_workload(
-        workload, net, messages=messages, seed=seed, **workload_options
-    )
+    if traffic is None:
+        traffic = resolve_workload(
+            workload, net, messages=messages, seed=seed, **workload_options
+        )
     report = run_traffic(
         degraded.simulator(), traffic, max_slots=max_slots
     )

@@ -337,11 +337,21 @@ class _TrialContext:
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
         from ..core.registry import get_family
         from ..core.spec import NetworkSpec
+        from ..core.workloads import resolve_workload
 
         self.plan = plan
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
+        #: the ``full``-mode traffic: generated on the intact machine
+        #: from the plan's seed, so one list serves every trial
+        self.traffic = (
+            resolve_workload(
+                plan.workload, self.net, messages=plan.messages, seed=plan.seed
+            )
+            if plan.metrics == "full"
+            else None
+        )
 
     def run_trial(self, index: int) -> dict[str, object]:
         """The metrics row of trial ``index`` (scored per the plan's mode)."""
@@ -364,6 +374,7 @@ class _TrialContext:
                 workload=plan.workload,
                 messages=plan.messages,
                 seed=plan.seed,
+                traffic=self.traffic,
                 bound=plan.bound,
                 max_slots=plan.max_slots,
                 baseline_mean_latency=plan.baseline_mean_latency,
@@ -430,7 +441,7 @@ class _TopologyArrays:
     @classmethod
     def from_network(cls, net) -> "_TopologyArrays":
         """Export any registry-built network's topology."""
-        from .faults import coupler_endpoints
+        from .faults import coupler_endpoints, processor_groups
 
         model = net.hypergraph_model()
         n = net.num_processors
@@ -438,9 +449,7 @@ class _TopologyArrays:
         endpoints = np.asarray(coupler_endpoints(net), dtype=np.int64).reshape(
             m, 2
         )
-        proc_group = np.asarray(
-            [int(net.label_of(p)[0]) for p in range(n)], dtype=np.int64
-        )
+        proc_group = np.asarray(processor_groups(net), dtype=np.int64)
         src_indptr = np.zeros(m + 1, dtype=np.int64)
         tgt_indptr = np.zeros(m + 1, dtype=np.int64)
         src_chunks: list[tuple[int, ...]] = []
@@ -605,6 +614,15 @@ class _VectorContext:
         self._intact_dist = (
             self._intact_group_distances() if plan.metrics == "paths" else None
         )
+        cells = max(
+            g**2,
+            arrays.num_processors,
+            int(arrays.src_indptr[-1]),
+            int(arrays.tgt_indptr[-1]),
+            1,
+        )
+        #: most fault states one :meth:`_score_batch` call takes
+        self.batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
 
     def _intact_group_distances(self) -> np.ndarray:
         """``(g, g)`` BFS distances over the intact loopless group digraph.
@@ -636,31 +654,32 @@ class _VectorContext:
             reach = grown
         return dist
 
+    def _degenerate_row(self) -> dict[str, object] | None:
+        """The fixed row of a machine with at most one processor.
+
+        The :func:`~repro.resilience.metrics.connectivity_metrics`
+        short-circuit (plus, in ``paths`` mode, ``path_survival``'s
+        answer for fewer than two live groups); ``None`` for machines
+        the kernel scores.
+        """
+        if self.arrays.num_processors > 1:
+            return None
+        row: dict[str, object] = {
+            "connectivity": 1.0,
+            "alive_connectivity": 1.0,
+            "reachable_groups": 1.0,
+        }
+        if self.plan.metrics == "paths":
+            row.update(max_path_length=0, mean_stretch=1.0, within_bound=1.0)
+        return row
+
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order."""
-        arrays = self.arrays
-        cells = max(
-            arrays.num_groups**2,
-            arrays.num_processors,
-            int(arrays.src_indptr[-1]),
-            int(arrays.tgt_indptr[-1]),
-            1,
-        )
-        batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
-        rows: list[dict[str, object]] = []
-        if arrays.num_processors <= 1:
-            # the connectivity_metrics() degenerate short-circuit
-            degenerate: dict[str, object] = {
-                "connectivity": 1.0,
-                "alive_connectivity": 1.0,
-                "reachable_groups": 1.0,
-            }
-            if self.plan.metrics == "paths":
-                # path_survival's < 2 live groups answer
-                degenerate.update(
-                    max_path_length=0, mean_stretch=1.0, within_bound=1.0
-                )
+        degenerate = self._degenerate_row()
+        if degenerate is not None:
             return [dict(degenerate) for _ in range(start, stop)]
+        batch = self.batch
+        rows: list[dict[str, object]] = []
         sample_s = kernel_s = 0.0
         for lo in range(start, stop, batch):
             began = time.perf_counter()
@@ -679,6 +698,23 @@ class _VectorContext:
         ).observe(kernel_s)
         return rows
 
+    def score_states(self, states) -> list[dict[str, object]]:
+        """Metric rows of explicit ``(couplers, processors)`` fault states.
+
+        The kernel without the sampler: rows come back in ``states``
+        order, each equal to what a trial drawing that fault set
+        scores.  The temporal replay scores a trace's distinct fault
+        states through this, one mask batch per :attr:`batch` states.
+        """
+        degenerate = self._degenerate_row()
+        if degenerate is not None:
+            return [dict(degenerate) for _ in states]
+        rows: list[dict[str, object]] = []
+        for lo in range(0, len(states), self.batch):
+            masks = self._fault_masks(states[lo : lo + self.batch])
+            rows.extend(self._score_batch(*masks))
+        return rows
+
     def _sample_masks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """``(dead_processors, directly_hit_couplers)`` boolean masks.
 
@@ -688,14 +724,17 @@ class _VectorContext:
         generator is re-seeded per trial: ``Random.seed(x)`` leaves
         exactly the state ``Random(x)`` starts from.
         """
-        plan, arrays = self.plan, self.arrays
-        n, m = arrays.num_processors, arrays.num_couplers
+        return self._fault_masks(self._draws(lo, hi))
+
+    def _draws(self, lo: int, hi: int):
+        """Yield each trial's ``(couplers, processors)`` fault draw.
+
+        A generator, so mask assembly consumes the draws as they come
+        instead of holding a whole batch of them.
+        """
+        plan = self.plan
         sample_at = getattr(plan.model, "sample_faults_at", None)
         rng = random.Random()
-        coupler_rows: list[int] = []
-        coupler_cols: list[int] = []
-        proc_rows: list[int] = []
-        proc_cols: list[int] = []
         for j in range(hi - lo):
             rng.seed(trial_seed(plan.seed, lo + j))
             try:
@@ -720,14 +759,32 @@ class _VectorContext:
                     f"proxy does not provide ({exc}); run it with "
                     f"backend='batched'"
                 ) from exc
+            yield couplers, processors
+
+    def _fault_masks(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """``(dead_processors, directly_hit_couplers)`` boolean masks.
+
+        One row per ``(couplers, processors)`` pair ``states`` yields;
+        indices out of range are ignored, exactly as
+        :class:`~repro.resilience.degrade.DegradedNetwork` ignores
+        them.  Both masks are filled by one scatter each.
+        """
+        n, m = self.arrays.num_processors, self.arrays.num_couplers
+        coupler_rows: list[int] = []
+        coupler_cols: list[int] = []
+        proc_rows: list[int] = []
+        proc_cols: list[int] = []
+        rows = 0
+        for j, (couplers, processors) in enumerate(states):
             hit = [c for c in couplers if 0 <= c < m]
             coupler_cols += hit
             coupler_rows += [j] * len(hit)
             hit = [p for p in processors if 0 <= p < n]
             proc_cols += hit
             proc_rows += [j] * len(hit)
-        dead_proc = np.zeros((hi - lo, n), dtype=bool)
-        direct = np.zeros((hi - lo, m), dtype=bool)
+            rows = j + 1
+        dead_proc = np.zeros((rows, n), dtype=bool)
+        direct = np.zeros((rows, m), dtype=bool)
         direct[coupler_rows, coupler_cols] = True
         dead_proc[proc_rows, proc_cols] = True
         return dead_proc, direct
@@ -1006,8 +1063,16 @@ def _release_shared(handles: list[shared_memory.SharedMemory]) -> None:
 # ----------------------------------------------------------------------
 # Worker plumbing shared by the per-sweep and the pooled executors.
 # ----------------------------------------------------------------------
-def _make_context(plan: _SweepPlan, net=None, arrays=None):
-    """The trial-runner context for ``plan`` (builds what it lacks)."""
+def _make_context(plan, net=None, arrays=None):
+    """The trial-runner context for ``plan`` (builds what it lacks).
+
+    ``plan`` is a :class:`_SweepPlan` or a temporal replay plan
+    (``backend == "temporal"``, turned into a ``_TemporalContext``).
+    """
+    if plan.backend == "temporal":
+        from ..temporal.replay import _TemporalContext
+
+        return _TemporalContext(plan, net=net, arrays=arrays)
     if plan.backend == "vectorized":
         if arrays is None:
             if net is None:
@@ -1267,7 +1332,9 @@ class PersistentSweepExecutor:
     row order are shared.  This is what
     :class:`repro.core.session.Session` injects into
     :func:`survivability_sweep`, :func:`pooled_survivability_sweeps`
-    and the design search.
+    and the design search, and what runs temporal replay plans
+    (:meth:`run_range` on a prepared temporal sweep; their chunks are
+    observed under ``backend="temporal"``).
     """
 
     def __init__(
@@ -1528,6 +1595,29 @@ def _intact_baseline(
     return report.mean_latency
 
 
+def _paths_kernel_refusal(family_key: str, net) -> str | None:
+    """Why the vectorized paths kernel cannot score ``net`` (or ``None``).
+
+    The kernel's distances equal the generic BFS fallback's route
+    lengths; a structured ``fault_route`` hook (stack-Kautz word-level
+    routing) can return longer routes, so those families run on the
+    ``fault_route`` scan instead -- recorded, never silent.
+    """
+    from ..core.registry import NetworkFamily, get_family
+
+    if type(get_family(family_key)).fault_route is not NetworkFamily.fault_route:
+        return (
+            f"family {family_key!r} overrides fault_route with "
+            "structured routing the vectorized paths kernel cannot "
+            "reproduce byte-for-byte"
+        )
+    if net.num_groups > 1 and not hasattr(net, "base_graph"):
+        # defensive: stretch denominators come from the base graph;
+        # no registered multi-group family lacks one today
+        return f"family {family_key!r} exposes no base_graph() for intact distances"
+    return None
+
+
 def _prepare_sweep(
     spec,
     model: FaultModel | str = "coupler",
@@ -1604,23 +1694,13 @@ def _prepare_sweep(
             "the vectorized backend scores metrics='connectivity' and "
             "'paths'; 'full' (slotted simulation) needs backend='batched'"
         )
+    net = parsed.build() if _net is None else _net
     downgrade = None
     if backend == "vectorized" and metrics == "paths":
-        from ..core.registry import NetworkFamily, get_family
-
-        family = get_family(parsed.family)
-        if type(family).fault_route is not NetworkFamily.fault_route:
-            # the kernel's distances equal the generic BFS fallback's
-            # route lengths; a structured hook (stack-Kautz word-level
-            # routing) can return longer routes, so run those specs on
-            # the batched fault_route scan -- recorded, never silent
-            downgrade = (
-                f"family {parsed.family!r} overrides fault_route with "
-                "structured routing the vectorized paths kernel cannot "
-                "reproduce byte-for-byte; executed on backend='batched'"
-            )
+        downgrade = _paths_kernel_refusal(parsed.family, net)
+        if downgrade is not None:
+            downgrade += "; executed on backend='batched'"
             backend = "batched"
-    net = parsed.build() if _net is None else _net
     if sampling != "uniform":
         # the index-aware sampler wrapper rides in the plan's model
         # slot: same key/faults surface, but trial contexts detect
@@ -1628,20 +1708,6 @@ def _prepare_sweep(
         model = make_sampler(
             model, net, sampling=sampling, trials=trials, ci_target=ci_target
         )
-    if (
-        downgrade is None
-        and backend == "vectorized"
-        and metrics == "paths"
-        and net.num_groups > 1
-        and not hasattr(net, "base_graph")
-    ):
-        # defensive: stretch denominators come from the base graph;
-        # no registered multi-group family lacks one today
-        downgrade = (
-            f"family {parsed.family!r} exposes no base_graph() for "
-            "intact distances; executed on backend='batched'"
-        )
-        backend = "batched"
     if downgrade is not None:
         REGISTRY.counter(
             "repro_sweep_backend_downgrades_total",

@@ -128,6 +128,14 @@ def _neighbors(w: Word, d: int) -> list[Word]:
     return [w[1:] + (z,) for z in range(d + 1) if z != w[-1]]
 
 
+#: Most ``(x, y, d)`` candidate families kept by :func:`_candidate_routes`.
+#: The cache fills and then stops growing (no eviction): a sweep walks
+#: every ordered group pair in the same order each trial, which would
+#: defeat an LRU smaller than the pair count.
+_CANDIDATE_CACHE_LIMIT = 4096
+_CANDIDATE_CACHE: dict[tuple[Word, Word, int], tuple[tuple[Word, ...], ...]] = {}
+
+
 def candidate_paths(x: Word, y: Word, d: int) -> list[list[Word]]:
     """Structured alternative routes from ``x`` to ``y``, shortest first.
 
@@ -139,27 +147,43 @@ def candidate_paths(x: Word, y: Word, d: int) -> list[list[Word]]:
 
     Simple paths only (cycles dropped), deduplicated, sorted by length.
     The family always contains paths through all ``d`` distinct first
-    hops, which is what fault tolerance needs.
+    hops, which is what fault tolerance needs.  It depends on the
+    words alone, never on faults, so it is computed once per
+    ``(x, y, d)``; every call returns fresh lists.
     """
+    return [list(path) for path in _candidate_routes(x, y, d)]
+
+
+def _candidate_routes(x: Word, y: Word, d: int) -> tuple[tuple[Word, ...], ...]:
+    """The memoized :func:`candidate_paths` family, as immutable tuples."""
+    key = (x, y, d)
+    routes = _CANDIDATE_CACHE.get(key)
+    if routes is None:
+        routes = _build_candidates(x, y, d)
+        if len(_CANDIDATE_CACHE) < _CANDIDATE_CACHE_LIMIT:
+            _CANDIDATE_CACHE[key] = routes
+    return routes
+
+
+def _build_candidates(x: Word, y: Word, d: int) -> tuple[tuple[Word, ...], ...]:
     if not is_kautz_word(x, d) or not is_kautz_word(y, d):
         raise ValueError(f"{x!r} or {y!r} is not a Kautz word over {{0..{d}}}")
     if len(x) != len(y):
         raise ValueError("source and destination words must have equal length")
-    paths: list[list[Word]] = []
+    paths: list[tuple[Word, ...]] = []
     seen: set[tuple[Word, ...]] = set()
 
     def add(prefix: list[Word]) -> None:
         tail = kautz_route(prefix[-1], y, d)
-        path = prefix + tail[1:]
+        path = tuple(prefix + tail[1:])
         if len(set(path)) != len(path):
             return  # revisits a node: not a simple path
-        key = tuple(path)
-        if key not in seen:
-            seen.add(key)
+        if path not in seen:
+            seen.add(path)
             paths.append(path)
 
     if x == y:
-        return [[x]]
+        return ((x,),)
     add([x])
     for w in _neighbors(x, d):
         if w == y:
@@ -174,7 +198,7 @@ def candidate_paths(x: Word, y: Word, d: int) -> list[list[Word]]:
                 continue
             add([x, w, w2])
     paths.sort(key=len)
-    return paths
+    return tuple(paths)
 
 
 def fault_tolerant_route(
@@ -199,10 +223,10 @@ def fault_tolerant_route(
         raise ValueError("source and destination must be fault-free")
     if x == y:
         return [x]
-    for path in candidate_paths(x, y, d):
+    for path in _candidate_routes(x, y, d):
         if not faults.blocks(path):
             if max_length is None or len(path) - 1 <= max_length:
-                return path
+                return list(path)
     # BFS fallback over the surviving subgraph.
     parent: dict[Word, Word] = {x: x}
     queue: deque[Word] = deque([x])

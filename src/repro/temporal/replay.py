@@ -2,12 +2,19 @@
 
 A :class:`~repro.temporal.processes.FaultTrace` is piecewise constant:
 between events the dead sets do not change, so the replay walks the
-trace's *segments*, scoring each one with the connectivity/paths
-kernels of :mod:`repro.resilience.metrics` weighted by segment length
--- and, in ``full`` mode, drives one slotted simulation across the
-whole horizon through :class:`~repro.resilience.degrade.DegradedNetwork`
-views that swap at segment boundaries (messages in flight experience
-the churn).
+trace's *segments*, weighting each one's score by its length.  A trace
+revisits few distinct fault states, and the vectorized sweep kernel
+(:meth:`~repro.resilience.sweep._VectorContext.score_states`) scores
+all of a trial's distinct states as one mask batch -- the same numbers
+:func:`~repro.resilience.metrics.connectivity_metrics` and, for
+generic-router families, :func:`~repro.resilience.metrics.path_survival`
+give per state.  :class:`~repro.resilience.degrade.DegradedNetwork`
+views are built only where a mode needs them: ``full`` mode drives one
+slotted simulation across the whole horizon through views that swap at
+segment boundaries (messages in flight experience the churn), a
+``traffic`` matrix routes its demands on them, and ``paths`` scoring
+on families with structured ``fault_route`` hooks runs
+``path_survival`` on them.
 
 Per-trial metrics:
 
@@ -25,20 +32,32 @@ Per-trial metrics:
 Determinism contract: trial ``i`` compiles its trace from
 ``trial_seed(seed, i)`` and trials never share state, so the summary
 is byte-identical for any worker count and any chunking of the trial
-index range (property-tested in ``tests/test_temporal.py``).
+index range (property-tested in ``tests/test_temporal.py``).  Trials
+run on :class:`~repro.resilience.sweep.PersistentSweepExecutor`, the
+executor every sweep uses: :class:`_TemporalPlan` is a context-protocol
+plan its workers turn into a :class:`_TemporalContext`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..resilience.degrade import DegradedNetwork
 from ..resilience.faults import trial_seed
-from ..resilience.metrics import connectivity_metrics, path_survival
-from ..resilience.sweep import _index_chunks, _nearest_rank
+# connectivity_metrics is no longer called here; it stays importable
+# because perfbench's traced run wraps it by this module's name
+from ..resilience.metrics import connectivity_metrics, path_survival  # noqa: F401
+from ..resilience.sweep import (
+    PersistentSweepExecutor,
+    _nearest_rank,
+    _paths_kernel_refusal,
+    _SweepPlan,
+    _TopologyArrays,
+    _VectorContext,
+)
 from ..simulation.engine import SlottedSimulator
 from .processes import FaultProcess, FaultTrace, make_fault_process
 from .traffic import TrafficMatrix, served_fraction
@@ -92,7 +111,13 @@ TEMPORAL_METRICS_MODES: dict[str, tuple[str, ...]] = {
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _TemporalPlan:
-    """Everything a trial needs, frozen once and shipped to workers."""
+    """Everything a trial needs, frozen once and shipped to workers.
+
+    A context-protocol plan: its ``backend`` tag makes the sweep
+    executors build a :class:`_TemporalContext` for it.
+    """
+
+    backend: ClassVar[str] = "temporal"
 
     canonical: str
     process: FaultProcess
@@ -287,24 +312,32 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
     plan = ctx.plan
     horizon = plan.horizon
     segments = list(trace.segments())
-    views = [
-        DegradedNetwork(
-            ctx.net,
-            trace.scenario_for(dead_c, dead_p),
-            family=ctx.family,
-        )
+    # segments revisit a handful of fault states: score each distinct
+    # state once, then fold the segments over their state's scores
+    state_ids: dict[tuple, int] = {}
+    seg_state = [
+        state_ids.setdefault((dead_c, dead_p), len(state_ids))
         for _start, _stop, dead_c, dead_p in segments
     ]
-    starts = [start for start, _stop, _c, _p in segments]
+    states = list(state_ids)
+    scores = ctx.scorer.score_states(states)
+    state_views = (
+        [
+            DegradedNetwork(
+                ctx.net, trace.scenario_for(dead_c, dead_p), family=ctx.family
+            )
+            for dead_c, dead_p in states
+        ]
+        if ctx.needs_views
+        else None
+    )
 
     alive_segs = []
     survival_weight = 0.0
     time_to_disconnect = float(horizon)
     disconnected = False
-    for (start, stop, _c, _p), view in zip(segments, views):
-        alive = connectivity_metrics(view, with_reachable=False)[
-            "alive_connectivity"
-        ]
+    for (start, stop, _c, _p), state in zip(segments, seg_state):
+        alive = scores[state]["alive_connectivity"]
         weight = stop - start
         alive_segs.append((start, stop, float(alive)))
         if alive >= 1.0:
@@ -323,33 +356,52 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
         "_curve": _bin_curve(alive_segs, horizon, plan.curve_points),
     }
     if plan.metrics in ("paths", "full"):
+        if ctx.kernel_paths:
+            quality = [(r["mean_stretch"], r["within_bound"]) for r in scores]
+        else:
+            quality = [
+                path_survival(view, plan.bound)[2:] for view in state_views
+            ]
         within_acc = 0.0
         stretch_acc = 0.0
-        for (start, stop, _c, _p), view in zip(segments, views):
-            _reach, _max_len, stretch, within = path_survival(
-                view, plan.bound
-            )
+        for (start, stop, _c, _p), state in zip(segments, seg_state):
+            stretch, within = quality[state]
             within_acc += (stop - start) * within
             stretch_acc += (stop - start) * stretch
         row["within_bound_time"] = within_acc / horizon
         row["mean_stretch_time"] = stretch_acc / horizon
     if plan.traffic is not None:
+        served = [served_fraction(plan.traffic, view) for view in state_views]
         row["demand_served"] = (
             math.fsum(
-                (stop - start) * served_fraction(plan.traffic, view)
-                for (start, stop, _c, _p), view in zip(segments, views)
+                (stop - start) * served[state]
+                for (start, stop, _c, _p), state in zip(segments, seg_state)
             )
             / horizon
         )
     if plan.metrics == "full":
+        starts = [start for start, _stop, _c, _p in segments]
+        views = [state_views[state] for state in seg_state]
         row.update(_slotted_metrics(ctx, starts, views))
     return row
 
 
 class _TemporalContext:
-    """Per-process trial runner over one shared built network."""
+    """Per-process trial runner over one shared built network.
 
-    def __init__(self, plan: _TemporalPlan, net=None, family=None) -> None:
+    Segment scores come from a vectorized sweep kernel over the
+    topology ``arrays`` (exported from ``net`` when not given): its
+    ``connectivity`` rows everywhere, its ``paths`` rows when the
+    family routes with the generic BFS hook (``kernel_paths``).
+    ``needs_views`` says whether trials also build
+    :class:`~repro.resilience.degrade.DegradedNetwork` views -- for
+    the ``full``-mode simulator, a traffic matrix, or ``paths`` on a
+    structured-router family.
+    """
+
+    def __init__(
+        self, plan: _TemporalPlan, net=None, family=None, arrays=None
+    ) -> None:
         from ..core.registry import get_family
         from ..core.spec import NetworkSpec
         from ..core.workloads import resolve_workload
@@ -358,6 +410,32 @@ class _TemporalContext:
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
+        paths = plan.metrics in ("paths", "full")
+        self.kernel_paths = (
+            paths and _paths_kernel_refusal(parsed.family, self.net) is None
+        )
+        self.needs_views = (
+            plan.metrics == "full"
+            or plan.traffic is not None
+            or (paths and not self.kernel_paths)
+        )
+        if arrays is None:
+            arrays = _TopologyArrays.from_network(self.net)
+        # the kernel reads only the plan's metrics, bound and backend
+        # (no sampler: score_states takes the trace's fault states)
+        kernel_plan = _SweepPlan(
+            canonical=plan.canonical,
+            model=None,
+            seed=plan.seed,
+            workload=plan.workload_name,
+            messages=0,
+            bound=plan.bound,
+            max_slots=0,
+            baseline_mean_latency=None,
+            metrics="paths" if self.kernel_paths else "connectivity",
+            backend=plan.backend,
+        )
+        self.scorer = _VectorContext(kernel_plan, arrays)
         self.model = self.net.hypergraph_model()
         self.triples = (
             resolve_workload(
@@ -384,44 +462,23 @@ class _TemporalContext:
 
 
 # ----------------------------------------------------------------------
-# Execution: inline or over a one-shot worker pool
+# Execution
 # ----------------------------------------------------------------------
-_WORKER_CTX: _TemporalContext | None = None
-
-
-def _init_temporal_worker(plan: _TemporalPlan) -> None:
-    """Pool initializer: build the shared trial context once per process."""
-    global _WORKER_CTX
-    _WORKER_CTX = _TemporalContext(plan)
-
-
-def _run_temporal_chunk(index_range: tuple[int, int]) -> list[dict]:
-    assert _WORKER_CTX is not None, "temporal worker used before init"
-    return _WORKER_CTX.run_range(*index_range)
-
-
 def execute_temporal(
     prepared: _PreparedTemporal, workers: int = 1
 ) -> list[dict[str, object]]:
     """All trial rows, in trial-index order.
 
+    A one-call wrapper over :class:`PersistentSweepExecutor` (sessions
+    run temporal plans on their own persistent executor instead).
     Trials are pure functions of their index, so sharding the index
     range over ``workers`` processes returns byte-identical rows for
-    every worker count (chunks are merged back in index order).
+    every worker count.
     """
     if prepared.skipped:
         return []
-    if workers <= 1:
-        ctx = _TemporalContext(prepared.plan, net=prepared.net)
-        return ctx.run_range(0, prepared.trials)
-    chunks = _index_chunks(prepared.trials, workers)
-    with multiprocessing.Pool(
-        workers,
-        initializer=_init_temporal_worker,
-        initargs=(prepared.plan,),
-    ) as pool:
-        parts = pool.map(_run_temporal_chunk, chunks)
-    return [row for part in parts for row in part]
+    with PersistentSweepExecutor(workers) as executor:
+        return executor.run_range(prepared, 0, prepared.trials)
 
 
 # ----------------------------------------------------------------------
