@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..graphs.kautz import kautz_num_nodes
+from ..hypergraphs.hypergraph import cached_on
 from ..networks.design import (
     POPSDesign,
     StackImaseItohDesign,
@@ -61,6 +62,23 @@ def _ii_routing_table(d: int, n: int):
 
     base = StackImaseItohNetwork(1, d, n).base_graph()
     return build_routing_table(base.without_loops())
+
+
+def _kautz_word_tables(net: StackKautzNetwork):
+    """``(group -> Kautz word, word -> group)`` of ``net``, cached on it.
+
+    Structured rerouting maps two groups to words and every route back
+    to groups once per ordered pair per trial; the tables replace the
+    recursive Imase-Itoh conversions (and their word validation) on
+    that path.  The first is a tuple; the dict never leaves this
+    module.
+    """
+
+    def build():
+        words = tuple(net.group_word(g) for g in range(net.num_groups))
+        return words, {w: g for g, w in enumerate(words)}
+
+    return cached_on(net, "_kautz_word_tables", build)
 
 
 @register_family
@@ -147,11 +165,18 @@ class StackKautzFamily(NetworkFamily):
         if src_group == dst_group:
             return [src_group]
         faults = degraded.word_fault_set()
-        x, y = net.group_word(src_group), net.group_word(dst_group)
+        words, group_of_word = _kautz_word_tables(net)
+        if not (0 <= src_group < len(words) and 0 <= dst_group < len(words)):
+            net.group_word(src_group)  # the network's range error
+            net.group_word(dst_group)
+        x, y = words[src_group], words[dst_group]
         if x not in faults.nodes and y not in faults.nodes:
             path = fault_tolerant_route(x, y, net.degree, faults)
             if path is not None:
-                return [net.group_of_word(w) for w in path]
+                try:
+                    return [group_of_word[w] for w in path]
+                except KeyError:  # not a Kautz word: the network's error
+                    return [net.group_of_word(w) for w in path]
         return super().fault_route(net, src_group, dst_group, degraded)
 
     def simulator(self, net: StackKautzNetwork, policy=None):

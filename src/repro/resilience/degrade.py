@@ -22,9 +22,10 @@ processor died; a group is dead when all of its processors died.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..graphs.digraph import DiGraph
 from ..hypergraphs.hypergraph import DirectedHypergraph
-from ..routing.tables import RoutingTable, build_routing_table
 from ..simulation.engine import Message, SlottedSimulator
 from .faults import FaultScenario, coupler_endpoints, processor_groups
 
@@ -69,11 +70,12 @@ class DegradedNetwork:
         self.dead_couplers = frozenset(dead)
         self._endpoints = coupler_endpoints(net)
         self._groups = processor_groups(net)
+        self._num_groups = net.num_groups
         # caches, built on demand
         self._base: DiGraph | None = None
-        self._table: RoutingTable | None = None
-        self._arc_coupler: dict[tuple[int, int], int] | None = None
-        self._sibling_hop: dict[int, int] = {}
+        self._dist: np.ndarray | None = None
+        self._hops: list[int] | None = None
+        self._relay_targets: list[tuple[int, ...]] | None = None
         self._dead_groups: frozenset[int] | None = None
         self._word_faults = None
 
@@ -155,50 +157,80 @@ class DegradedNetwork:
             name=f"degraded({self.scenario.spec})",
         )
 
+    def group_distances(self) -> np.ndarray:
+        """All-pairs group distances over :meth:`surviving_base`.
+
+        ``dist[u, v]`` is the length of a shortest surviving group walk
+        ``u -> v`` (``-1``: unreachable, ``0`` on the diagonal): one
+        BFS per group, on first use, read-only.  The connectivity
+        metrics and the next-coupler table both read it; loops never
+        shorten a walk between distinct groups, so it doubles as the
+        loopless base's distance matrix the routing needs.
+        """
+        if self._dist is None:
+            base = self.surviving_base()
+            g = base.num_nodes
+            dist = np.empty((g, g), dtype=np.int64)
+            for u in range(g):
+                dist[u] = base.bfs_distances(u)
+            dist.setflags(write=False)
+            self._dist = dist
+        return self._dist
+
     # ------------------------------------------------------------------
     # Degraded-mode routing
     # ------------------------------------------------------------------
-    def _routing(self) -> tuple[RoutingTable, dict[tuple[int, int], int]]:
-        if self._table is None or self._arc_coupler is None:
-            base = self.surviving_base()
-            self._table = build_routing_table(base.without_loops())
-            arc_coupler: dict[tuple[int, int], int] = {}
-            for c, (u, v) in enumerate(self._endpoints):
-                if c in self.dead_couplers:
-                    continue
-                arc_coupler.setdefault((u, v), c)
-            self._arc_coupler = arc_coupler
-        return self._table, self._arc_coupler
-
     def _group_of(self, processor: int) -> int:
         groups = self._groups
         if 0 <= processor < len(groups):
             return groups[processor]
         return int(self.net.label_of(processor)[0])  # the network's range error
 
-    def _sibling_first_hop(self, group: int) -> int:
-        """First group of the shortest surviving closed walk at ``group``.
+    def _next_coupler_table(self) -> list[int]:
+        """Flat ``(g x g)`` table: the coupler leaving group ``gu``
+        toward group ``gv`` sits at ``gu * g + gv`` (``-1``: no
+        surviving route).
 
-        Sibling delivery uses the loop coupler when it survives
-        (returns ``group``); otherwise the message must leave the
-        group and come back.  ``-1`` when no closed walk survives.
+        Between distinct groups the hop is the smallest surviving
+        successor one step nearer the destination; parallel couplers
+        resolve to the lowest surviving index.  The diagonal is
+        sibling delivery: the loop coupler when it survives, else the
+        first hop of the shortest surviving closed walk (smallest
+        successor on ties).
         """
-        if group in self._sibling_hop:
-            return self._sibling_hop[group]
-        table, arc_coupler = self._routing()
-        if (group, group) in arc_coupler:
-            return group
-        best, best_len = -1, -1
-        for u, v in sorted(arc_coupler):
-            if u != group or v == group:
-                continue
-            back = table.distance(v, group)
-            if back < 0:
-                continue
-            if best_len < 0 or 1 + back < best_len:
-                best, best_len = v, 1 + back
-        self._sibling_hop[group] = best
-        return best
+        g = self._num_groups
+        coupler_of: dict[tuple[int, int], int] = {}
+        for c, arc in enumerate(self._endpoints):
+            if c not in self.dead_couplers:
+                coupler_of.setdefault(arc, c)
+        succ: list[list[int]] = [[] for _ in range(g)]
+        for u, v in sorted(coupler_of):
+            if u != v:
+                succ[u].append(v)
+        dist = self.group_distances().tolist()
+        hops = [-1] * (g * g)
+        for u in range(g):
+            row = dist[u]
+            for dest in range(g):
+                nxt = -1
+                if dest == u:
+                    if (u, u) in coupler_of:
+                        nxt = u
+                    else:
+                        best_len = -1
+                        for v in succ[u]:
+                            back = dist[v][u]
+                            if back >= 0 and (best_len < 0 or back < best_len):
+                                nxt, best_len = v, back
+                elif row[dest] > 0:
+                    want = row[dest] - 1
+                    for v in succ[u]:
+                        if dist[v][dest] == want:
+                            nxt = v
+                            break
+                if nxt >= 0:
+                    hops[u * g + dest] = coupler_of[(u, nxt)]
+        return hops
 
     def next_coupler(self, holder: int, msg: Message) -> int:
         """Fault-aware routing callback for the slotted engine.
@@ -206,26 +238,33 @@ class DegradedNetwork:
         Returns ``-1`` ("drop") when the destination is unreachable on
         the surviving network or either endpoint is dead.
         """
-        if msg.src in self.dead_processors or msg.dst in self.dead_processors:
+        dead = self.dead_processors
+        if msg.src in dead or msg.dst in dead:
             return -1
-        table, arc_coupler = self._routing()
-        gu = self._group_of(holder)
-        gv = self._group_of(msg.dst)
-        if gu == gv:
-            nxt = self._sibling_first_hop(gu)
-        else:
-            nxt = table.next_hop(gu, gv)
-        if nxt < 0:
-            return -1
-        return arc_coupler.get((gu, nxt), -1)
+        hops = self._hops
+        if hops is None:
+            hops = self._hops = self._next_coupler_table()
+        groups = self._groups
+        dst = msg.dst
+        g = self._num_groups
+        if 0 <= holder < len(groups) and 0 <= dst < len(groups):
+            return hops[groups[holder] * g + groups[dst]]
+        return hops[self._group_of(holder) * g + self._group_of(dst)]
 
     def relay(self, coupler: int, msg: Message) -> int:
-        """Relay selection that never hands a message to a corpse."""
-        targets = [
-            t
-            for t in self._model.hyperarc(coupler).targets
-            if t not in self.dead_processors
-        ]
+        """Relay selection that never hands a message to a corpse.
+
+        Reads the view's per-coupler tuple of surviving targets, built
+        on first use.
+        """
+        table = self._relay_targets
+        if table is None:
+            dead = self.dead_processors
+            table = self._relay_targets = [
+                tuple(t for t in ha.targets if t not in dead)
+                for ha in self._model.hyperarcs
+            ]
+        targets = table[coupler]
         if msg.dst in targets:
             return msg.dst
         if not targets:  # unreachable: dead couplers are never requested
@@ -235,9 +274,9 @@ class DegradedNetwork:
     def fault_route(self, src_group: int, dst_group: int) -> list[int] | None:
         """Group-level degraded route, via the family's hook."""
         for name, g in (("src_group", src_group), ("dst_group", dst_group)):
-            if not 0 <= g < self.net.num_groups:
+            if not 0 <= g < self._num_groups:
                 raise IndexError(
-                    f"{name} {g} out of range [0, {self.net.num_groups})"
+                    f"{name} {g} out of range [0, {self._num_groups})"
                 )
         return self.family.fault_route(self.net, src_group, dst_group, self)
 

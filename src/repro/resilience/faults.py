@@ -55,22 +55,28 @@ def group_of(net, processor: int) -> int:
     return int(net.label_of(processor)[0])
 
 
-def coupler_endpoints(net) -> list[tuple[int, int]]:
+def coupler_endpoints(net) -> tuple[tuple[int, int], ...]:
     """``(src_group, dst_group)`` per coupler, in hyperarc order.
 
     Reads the base digraph's CSR arc order when the network has one
     (stack families, POPS); otherwise derives the group pair from the
-    hyperarc's source/target blocks (single-OPS).
+    hyperarc's source/target blocks (single-OPS).  Cached on ``net``:
+    every degraded view of a network reads it, once per trial.
     """
-    if hasattr(net, "base_graph"):
-        return [
-            (int(u), int(v)) for u, v in net.base_graph().arc_array().tolist()
-        ]
-    model = net.hypergraph_model()
-    return [
-        (group_of(net, ha.sources[0]), group_of(net, ha.targets[0]))
-        for ha in model.hyperarcs
-    ]
+
+    def build():
+        if hasattr(net, "base_graph"):
+            return tuple(
+                (int(u), int(v))
+                for u, v in net.base_graph().arc_array().tolist()
+            )
+        model = net.hypergraph_model()
+        return tuple(
+            (group_of(net, ha.sources[0]), group_of(net, ha.targets[0]))
+            for ha in model.hyperarcs
+        )
+
+    return cached_on(net, "_coupler_endpoints", build)
 
 
 @dataclass(frozen=True)

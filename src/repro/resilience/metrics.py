@@ -19,8 +19,10 @@ aggregates.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, fields
 
+from ..hypergraphs.hypergraph import cached_on
 from .degrade import DegradedNetwork
 
 __all__ = [
@@ -62,21 +64,21 @@ class ResilienceMetrics:
 def _connectivity_counts(
     degraded: DegradedNetwork,
 ) -> tuple[int, int, int, list, list[int]]:
-    """One BFS pass feeding every connectivity-flavoured metric.
+    """One distance pass feeding every connectivity-flavoured metric.
 
     Returns ``(connected, alive_pairs, all_pairs, reach, alive_per_group)``
-    over ordered distinct pairs; ``reach[u]`` is the surviving-base BFS
-    distance row of group ``u``.
+    over ordered distinct pairs; ``reach[u]`` is the surviving-base
+    distance row of group ``u`` (a fresh list, from the view's shared
+    :meth:`~repro.resilience.degrade.DegradedNetwork.group_distances`).
     """
     net = degraded.net
     n = net.num_processors
     base = degraded.surviving_base()
     g = net.num_groups
-    reach = [base.bfs_distances(u) for u in range(g)]
+    reach = degraded.group_distances().tolist()
     # a surviving closed walk at u exists iff some surviving out-arc
-    # (u, v) is a loop or can get back (reach[v][u] >= 0) -- derivable
-    # from the BFS rows, no routing table needed (same booleans as
-    # `degraded._sibling_first_hop(u) >= 0`, which builds one)
+    # (u, v) is a loop or can get back (reach[v][u] >= 0) -- the same
+    # booleans as the diagonal of the view's next-coupler table
     sibling_ok = [
         any(v == u or reach[v][u] >= 0 for v in base.successors(u).tolist())
         for u in range(g)
@@ -190,6 +192,27 @@ def connectivity_metrics(
     return out
 
 
+def _intact_distances(net) -> tuple[tuple[int, ...], ...] | None:
+    """Loopless intact group distances ``dist[u][v]``, cached on ``net``.
+
+    They depend on the topology alone, so every degraded view of one
+    built network shares one BFS pass; ``None`` for single-star
+    machines (no base digraph: every pair is one hop apart).  Tuples,
+    so no reader can change what the next trial sees.
+    """
+    if not hasattr(net, "base_graph"):
+        return None
+
+    def build():
+        intact = net.base_graph().without_loops()
+        return tuple(
+            tuple(int(d) for d in intact.bfs_distances(u))
+            for u in range(net.num_groups)
+        )
+
+    return cached_on(net, "_intact_group_distances", build)
+
+
 def path_survival(
     degraded: DegradedNetwork, bound: int | None = None
 ) -> tuple[float, int, float, float]:
@@ -216,17 +239,14 @@ def path_survival(
     live = [g for g in range(net.num_groups) if g not in dead]
     if len(live) < 2:
         return 1.0, 0, 1.0, 1.0
-    if hasattr(net, "base_graph"):
-        intact = net.base_graph().without_loops()
-    else:  # single-star machines: every pair one hop apart
-        intact = None
+    intact = _intact_distances(net)
     routed = 0
     within = 0
     max_len = -1
     stretch_terms: list[float] = []
     pairs = 0
     for gu in live:
-        intact_dist = intact.bfs_distances(gu) if intact is not None else None
+        intact_dist = intact[gu] if intact is not None else None
         for gv in live:
             if gv == gu:
                 continue
@@ -239,7 +259,7 @@ def path_survival(
             max_len = max(max_len, length)
             if length <= bound:
                 within += 1
-            d0 = int(intact_dist[gv]) if intact_dist is not None else 1
+            d0 = intact_dist[gv] if intact_dist is not None else 1
             if d0 > 0:
                 stretch_terms.append(length / d0)
     if routed == 0:
@@ -264,6 +284,7 @@ def measure(
     max_slots: int = 100_000,
     baseline_mean_latency: float | None = None,
     traffic=None,
+    timings: dict[str, float] | None = None,
     **workload_options,
 ) -> ResilienceMetrics:
     """All survivability metrics of one degraded network, one row.
@@ -277,7 +298,9 @@ def measure(
     the baseline depends only on ``(workload, messages, seed)``.
     ``traffic`` likewise short-circuits the workload generation with
     the triples ``workload`` resolves to (the sweep resolves them once
-    per trial context; they are read, never mutated).
+    per trial context; they are read, never mutated).  ``timings``,
+    when given, accumulates the seconds spent in the slotted simulator
+    under ``"simulate"`` (the sweep's per-chunk simulate histogram).
     """
     from ..core.workloads import resolve_workload
     from ..simulation.network_sim import run_traffic
@@ -295,6 +318,7 @@ def measure(
         traffic = resolve_workload(
             workload, net, messages=messages, seed=seed, **workload_options
         )
+    began = time.perf_counter()
     report = run_traffic(
         degraded.simulator(), traffic, max_slots=max_slots
     )
@@ -303,6 +327,10 @@ def measure(
             degraded.family.simulator(net), list(traffic), max_slots=max_slots
         )
         baseline_mean_latency = baseline.mean_latency
+    if timings is not None:
+        timings["simulate"] = (
+            timings.get("simulate", 0.0) + time.perf_counter() - began
+        )
     if report.delivery_ratio == 0.0:
         inflation = 0.0
     elif baseline_mean_latency == 0.0:

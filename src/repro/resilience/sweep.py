@@ -353,8 +353,8 @@ class _TrialContext:
             else None
         )
 
-    def run_trial(self, index: int) -> dict[str, object]:
-        """The metrics row of trial ``index`` (scored per the plan's mode)."""
+    def _degraded(self, index: int) -> DegradedNetwork:
+        """Trial ``index``'s fault scenario applied to the network."""
         plan = self.plan
         # index-aware samplers (stratified/importance wrappers) need the
         # trial *index*, not just its seed: the index picks the stratum
@@ -367,7 +367,13 @@ class _TrialContext:
             scenario = plan.model.scenario(
                 plan.canonical, self.net, trial_seed(plan.seed, index)
             )
-        degraded = DegradedNetwork(self.net, scenario, family=self.family)
+        return DegradedNetwork(self.net, scenario, family=self.family)
+
+    def _score(
+        self, degraded: DegradedNetwork, timings: dict[str, float] | None
+    ) -> dict[str, object]:
+        """The metrics row of one degraded view, per the plan's mode."""
+        plan = self.plan
         if plan.metrics == "full":
             return measure(
                 degraded,
@@ -378,6 +384,7 @@ class _TrialContext:
                 bound=plan.bound,
                 max_slots=plan.max_slots,
                 baseline_mean_latency=plan.baseline_mean_latency,
+                timings=timings,
             ).as_dict()
         # paths mode takes reachable_groups from path_survival (the
         # *routed* fraction) instead of the BFS pass, so skip the
@@ -396,8 +403,25 @@ class _TrialContext:
         return row
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
-        """Rows of trials ``start .. stop - 1``, in index order."""
-        return [self.run_trial(i) for i in range(start, stop)]
+        """Rows of trials ``start .. stop - 1``, in index order.
+
+        Observes the chunk's sampling (scenario draw plus view build)
+        and scoring seconds on the same histograms as vectorized
+        chunks, and in ``full`` mode the slotted simulator's share of
+        the scoring on ``repro_sweep_simulate_seconds``.
+        """
+        rows: list[dict[str, object]] = []
+        timings = {"simulate": 0.0} if self.plan.metrics == "full" else None
+        sample_s = kernel_s = 0.0
+        for index in range(start, stop):
+            began = time.perf_counter()
+            degraded = self._degraded(index)
+            sampled = time.perf_counter()
+            rows.append(self._score(degraded, timings))
+            sample_s += sampled - began
+            kernel_s += time.perf_counter() - sampled
+        _observe_chunk_split(self.plan, sample_s, kernel_s, timings)
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -688,14 +712,7 @@ class _VectorContext:
             rows.extend(self._score_batch(dead_proc, direct))
             sample_s += sampled - began
             kernel_s += time.perf_counter() - sampled
-        registry = worker_registry()
-        labels = {"backend": self.plan.backend, "metrics": self.plan.metrics}
-        registry.histogram(
-            "repro_sweep_sample_seconds", _SAMPLE_HELP, labels
-        ).observe(sample_s)
-        registry.histogram(
-            "repro_sweep_kernel_seconds", _KERNEL_HELP, labels
-        ).observe(kernel_s)
+        _observe_chunk_split(self.plan, sample_s, kernel_s)
         return rows
 
     def score_states(self, states) -> list[dict[str, object]]:
@@ -1092,9 +1109,29 @@ _RUN_HELP = "Wall time of one sweep trial chunk"
 _WAIT_HELP = "Queue wait between chunk dispatch and worker pickup"
 _PATHS_TRIALS_HELP = "Trials scored by the vectorized all-pairs paths kernel"
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
-_SAMPLE_HELP = "Fault-mask sampling time of one vectorized trial chunk"
-_KERNEL_HELP = "Numpy scoring time of one vectorized trial chunk"
+_SAMPLE_HELP = "Fault sampling time of one trial chunk"
+_KERNEL_HELP = "Scoring time of one trial chunk"
+_SIMULATE_HELP = "Slotted-simulator time of one full-mode trial chunk"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
+
+
+def _observe_chunk_split(
+    plan, sample_s: float, kernel_s: float, timings: dict | None = None
+) -> None:
+    """One chunk's sampling and scoring seconds (and, given ``timings``,
+    its simulator seconds) on the per-mode chunk histograms."""
+    registry = worker_registry()
+    labels = {"backend": plan.backend, "metrics": plan.metrics}
+    registry.histogram(
+        "repro_sweep_sample_seconds", _SAMPLE_HELP, labels
+    ).observe(sample_s)
+    registry.histogram(
+        "repro_sweep_kernel_seconds", _KERNEL_HELP, labels
+    ).observe(kernel_s)
+    if timings is not None:
+        registry.histogram(
+            "repro_sweep_simulate_seconds", _SIMULATE_HELP, labels
+        ).observe(timings["simulate"])
 
 
 def _observed_range(ctx, start: int, stop: int):

@@ -28,6 +28,7 @@ import json
 import multiprocessing
 import queue as queue_mod
 import signal
+import time
 import traceback
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
 
 #: Seconds without any worker message before the front gives up.
 SHARD_TIMEOUT = 600.0
+#: Seconds between liveness checks while the result queue is quiet.
+SHARD_POLL = 0.2
 
 
 class ShardError(RuntimeError):
@@ -197,18 +200,35 @@ def iter_sharded_cells(experiment, *, shards: int, workers: int = 0):
         proc.start()
     held: dict[int, dict] = {}
     next_index = 0
-    done = 0
+    finished: set[int] = set()
     completed = False
+    quiet_since = time.monotonic()
+    exited: set[int] = set()  # shards seen gone without "done"
     try:
-        while done < shards or next_index < n_cells:
+        while len(finished) < shards or next_index < n_cells:
             try:
-                message = out.get(timeout=SHARD_TIMEOUT)
+                message = out.get(timeout=SHARD_POLL)
             except queue_mod.Empty:
-                raise ShardError(
-                    f"no shard output for {SHARD_TIMEOUT:.0f}s "
-                    f"({done}/{shards} shards done, "
-                    f"{next_index}/{n_cells} cells merged)"
-                ) from None
+                gone = _exited_shards(procs, finished)
+                for shard in gone:
+                    if shard in exited:
+                        # a whole quiet poll since the exit was seen:
+                        # everything the shard flushed has been read
+                        raise ShardError(
+                            f"shard {shard} exited with code "
+                            f"{procs[shard].exitcode} before finishing "
+                            f"({len(finished)}/{shards} shards done, "
+                            f"{next_index}/{n_cells} cells merged)"
+                        )
+                exited.update(gone)
+                if not gone and time.monotonic() - quiet_since >= SHARD_TIMEOUT:
+                    raise ShardError(
+                        f"no shard output for {SHARD_TIMEOUT:.0f}s "
+                        f"({len(finished)}/{shards} shards done, "
+                        f"{next_index}/{n_cells} cells merged)"
+                    )
+                continue
+            quiet_since = time.monotonic()
             tag = message[0]
             if tag == "cell":
                 held[message[1]] = message[2]
@@ -217,7 +237,7 @@ def iter_sharded_cells(experiment, *, shards: int, workers: int = 0):
 
                 REGISTRY.merge(message[2])
             elif tag == "done":
-                done += 1
+                finished.add(message[1])
             else:
                 raise ShardError(
                     f"shard {message[1]} failed:\n{message[2]}"
@@ -238,6 +258,15 @@ def iter_sharded_cells(experiment, *, shards: int, workers: int = 0):
         for proc in procs:
             proc.join()
         out.close()
+
+
+def _exited_shards(procs, finished) -> list[int]:
+    """Shards whose worker exited without sending "done"."""
+    return [
+        shard
+        for shard, proc in enumerate(procs)
+        if shard not in finished and proc.exitcode is not None
+    ]
 
 
 def run_sharded_experiment(experiment, *, shards: int, workers: int = 0):

@@ -30,7 +30,7 @@ from .protocol import ArbitrationPolicy, OldestFirst
 __all__ = ["Message", "SlotStats", "SlottedSimulator"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message flowing through the simulated network."""
 
@@ -133,6 +133,9 @@ class SlottedSimulator:
         self.slot_log: list[SlotStats] = []
         self.coupler_busy = [0] * network.num_hyperarcs
         self._now = 0
+        #: the unsettled messages, in ident order -- the only ones a
+        #: slot visits; re-filtered at the end of every slot
+        self._live: list[Message] = []
 
     # ------------------------------------------------------------------
     def _default_relay(self, coupler: int, msg: Message) -> int:
@@ -152,7 +155,9 @@ class SlottedSimulator:
                 raise ValueError(
                     f"cannot inject into past slot {slot} (now {self._now})"
                 )
-            self.messages.append(Message(base + i, src, dst, slot))
+            msg = Message(base + i, src, dst, slot)
+            self.messages.append(msg)
+            self._live.append(msg)
 
     def run(self, max_slots: int = 100_000) -> None:
         """Advance slots until every message is settled (or the cap).
@@ -163,28 +168,37 @@ class SlottedSimulator:
         """
         while not self.all_settled():
             if self._now >= max_slots:
-                stuck = [m.ident for m in self.messages if not m.settled]
+                stuck = [m.ident for m in self._live]
                 raise RuntimeError(
                     f"slot cap {max_slots} reached with messages stuck: {stuck[:10]}"
                 )
             self.step()
 
     def step(self) -> SlotStats:
-        """Execute one slot."""
-        now = self._now
-        # Messages delivered at injection (src == dst) cost zero slots.
-        for m in self.messages:
-            if not m.settled and m.inject_slot <= now and m.current == m.dst:
-                m.deliver_slot = max(m.inject_slot, now)
+        """Execute one slot.
 
+        Only the unsettled messages are visited, in ident order:
+        requests reach the arbitration policy in the order of
+        :attr:`messages`, which a stateful policy (the seeded
+        ``RandomChoice``) depends on.
+        """
+        now = self._now
+        live = self._live
+        next_coupler = self.next_coupler
+        disabled = self.disabled_couplers
+        hyperarcs = self.network.hyperarcs
         # Gather requests: active messages ask for their next coupler.
         requests: dict[int, list[Message]] = {}
         dropped = 0
-        for m in self.messages:
-            if m.settled or m.inject_slot > now:
+        for m in live:
+            if m.inject_slot > now:
                 continue
-            coupler = self.next_coupler(m.current, m)
-            if coupler < 0 or coupler in self.disabled_couplers:
+            if m.current == m.dst:
+                # delivered at injection (src == dst): zero slots
+                m.deliver_slot = max(m.inject_slot, now)
+                continue
+            coupler = next_coupler(m.current, m)
+            if coupler < 0 or coupler in disabled:
                 if not self._allow_drops:
                     # intact engine: a bad coupler is a routing bug
                     raise RuntimeError(
@@ -194,27 +208,31 @@ class SlottedSimulator:
                 m.drop_slot = now
                 dropped += 1
                 continue
-            ha = self.network.hyperarc(coupler)
-            if m.current not in ha.sources:
+            if m.current not in hyperarcs[coupler].sources:
                 raise RuntimeError(
                     f"routing returned coupler {coupler} not sourced at {m.current}"
                 )
-            requests.setdefault(coupler, []).append(m)
+            if coupler in requests:
+                requests[coupler].append(m)
+            else:
+                requests[coupler] = [m]
 
         transmissions = 0
         contended = 0
         delivered = 0
+        pick = self.policy.pick
+        relay_of = self.relay_of
+        busy = self.coupler_busy
         for coupler, msgs in requests.items():
             # One transmitter per (processor, coupler): a processor
             # holding several messages for one coupler still sends one.
-            winner = self.policy.pick(msgs, now)
+            winner = pick(msgs, now)
             if len(msgs) > 1:
                 contended += 1
             transmissions += 1
-            self.coupler_busy[coupler] += 1
-            relay = self.relay_of(coupler, winner)
-            ha = self.network.hyperarc(coupler)
-            if relay not in ha.targets:
+            busy[coupler] += 1
+            relay = relay_of(coupler, winner)
+            if relay not in hyperarcs[coupler].targets:
                 raise RuntimeError(
                     f"relay {relay} is not a target of coupler {coupler}"
                 )
@@ -225,6 +243,9 @@ class SlottedSimulator:
                 winner.deliver_slot = now
                 delivered += 1
 
+        self._live = [
+            m for m in live if m.deliver_slot < 0 and m.drop_slot < 0
+        ]
         stats = SlotStats(now, transmissions, contended, delivered, dropped)
         self.slot_log.append(stats)
         self._now += 1
@@ -242,7 +263,7 @@ class SlottedSimulator:
 
     def all_settled(self) -> bool:
         """Whether every message is delivered or dropped."""
-        return all(m.settled for m in self.messages)
+        return not self._live
 
     def num_dropped(self) -> int:
         """How many messages were dropped on dead couplers."""
@@ -253,6 +274,7 @@ class SlottedSimulator:
         once, with hop count == trace length and a coupler-connected
         trace from src to dst (dropped messages are exempt from the
         trace walk but must not also claim delivery)."""
+        hyperarcs = self.network.hyperarcs
         for m in self.messages:
             if m.dropped:
                 if m.delivered:
@@ -264,10 +286,10 @@ class SlottedSimulator:
                 return False
             cur = m.src
             for c in m.trace:
-                ha = self.network.hyperarc(c)
+                ha = hyperarcs[c]
                 if cur not in ha.sources:
                     return False
-                nxt = [t for t in ha.targets]
+                nxt = ha.targets
                 # the relay recorded by the run is implicit; re-walk via dst
                 cur = m.dst if m.dst in nxt else nxt[m.dst % len(nxt)]
             if cur != m.dst:

@@ -245,17 +245,29 @@ def prepare_temporal_sweep(
 # Per-trial replay
 # ----------------------------------------------------------------------
 def _bin_curve(segvals, horizon: int, points: int) -> list[float]:
-    """Time-weighted mean of a piecewise-constant signal per bin."""
-    curve = []
-    for b in range(points):
-        lo = horizon * b / points
-        hi = horizon * (b + 1) / points
-        acc = math.fsum(
-            max(0.0, min(stop, hi) - max(start, lo)) * value
-            for start, stop, value in segvals
-        )
-        curve.append(acc / (hi - lo))
-    return curve
+    """Time-weighted mean of a piecewise-constant signal per bin.
+
+    Each ``(start, stop, value)`` slot segment visits only the bins it
+    overlaps in exact arithmetic; the float bin edges are correctly
+    rounded quotients, so they can shrink an overlap to nothing but
+    never create one outside that range.  A bin's sum is
+    ``math.fsum`` of the positive overlaps times their values --
+    exact, so leaving out the terms that are ``0.0`` gives the float
+    a scan of every segment would.
+    """
+    edges = [horizon * b / points for b in range(points + 1)]
+    terms: list[list[float]] = [[] for _ in range(points)]
+    for start, stop, value in segvals:
+        first = start * points // horizon
+        last = min(points - 1, (stop * points - 1) // horizon)
+        for b in range(first, last + 1):
+            overlap = min(stop, edges[b + 1]) - max(start, edges[b])
+            if overlap > 0:
+                terms[b].append(overlap * value)
+    return [
+        math.fsum(acc) / (edges[b + 1] - edges[b])
+        for b, acc in enumerate(terms)
+    ]
 
 
 def _slotted_metrics(ctx, starts, views) -> dict[str, float]:

@@ -10,6 +10,7 @@ overflow answering a structured 429.
 
 import asyncio
 import json
+import os
 import threading
 import time
 
@@ -25,7 +26,9 @@ from repro.serve.protocol import (
     validate_experiment,
     validate_sweep,
 )
+import repro.serve.shard as shard_module
 from repro.serve.shard import (
+    ShardError,
     iter_sharded_cells,
     partition_indices,
     run_sharded_experiment,
@@ -209,6 +212,27 @@ class TestSharding:
         experiment = Experiment(specs=("pops(2,2)",), trials=4)
         merged = run_sharded_experiment(experiment, shards=16)
         assert sharded_to_json(merged) == experiment.run(workers=0).to_json()
+
+    def test_dead_shard_raises_within_seconds(self, monkeypatch):
+        """A shard that dies mid-plan without a word (SIGKILL, OOM) is a
+        ShardError naming it and its exit code -- not a 600 s stall."""
+        real_run_cells = shard_module._run_cells
+
+        def dying(session, requests, indices):
+            for n, item in enumerate(real_run_cells(session, requests, indices)):
+                if indices[0] == 1 and n == 1:
+                    os._exit(3)  # shard 1 vanishes after one cell
+                yield item
+
+        # the shard subprocesses fork with the patched module
+        monkeypatch.setattr(shard_module, "_run_cells", dying)
+        experiment = Experiment(
+            specs=("pops(2,2)", "sk(2,2,2)"), trials=(2, 3), seed=1
+        )
+        began = time.monotonic()
+        with pytest.raises(ShardError, match="shard 1 exited with code 3"):
+            list(iter_sharded_cells(experiment, shards=2))
+        assert time.monotonic() - began < 10.0
 
 
 # ----------------------------------------------------------------------
